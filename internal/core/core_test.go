@@ -228,6 +228,61 @@ func TestProgramValidation(t *testing.T) {
 	}
 }
 
+func TestFreezeRejectsSubtreeSharedTwice(t *testing.T) {
+	// An internal subtree reached along two paths, at different depths.
+	sub := NewSeq(strand("s1", 1), strand("s2", 1))
+	root := NewPar(NewSeq(sub, strand("a", 1)), NewSeq(strand("b", 1), NewPar(strand("c", 1), sub)))
+	if _, err := NewProgram(root, nil); err == nil {
+		t.Fatal("subtree shared twice accepted")
+	}
+}
+
+func TestFreezeAcceptsNodeFromEarlierProgram(t *testing.T) {
+	x := NewStrand("x", 1, footprint.Single(0, 4), nil, nil)
+	sub := NewSeq(x, NewStrand("y", 1, footprint.Single(10, 12), nil, nil))
+	first := mustProgram(t, NewPar(strand("z", 1), sub), nil)
+	if first.Nodes[sub.ID] != sub {
+		t.Fatalf("first program lost sub at ID %d", sub.ID)
+	}
+	// Reuse sub (and its frozen descendants) under a new root.
+	w := NewStrand("w", 1, footprint.Single(2, 6), nil, nil)
+	root := NewSeq(sub, w)
+	p := mustProgram(t, root, nil)
+	if len(p.Nodes) != 5 || p.Nodes[sub.ID] != sub || sub.Parent != root || x.Parent != sub {
+		t.Fatalf("reused subtree not re-frozen: sub.ID=%d parent=%p, %d nodes", sub.ID, sub.Parent, len(p.Nodes))
+	}
+	for id, n := range p.Nodes {
+		if n.ID != id {
+			t.Fatalf("node %q has ID %d at index %d", n.Label, n.ID, id)
+		}
+	}
+	if got, want := root.Footprint().String(), "{[0,6) [10,12)}"; got != want {
+		t.Fatalf("root footprint = %s, want %s", got, want)
+	}
+}
+
+func TestFreezeStaleIDIsNotADuplicate(t *testing.T) {
+	// Freeze z at ID 2, then place it where index 2 already holds another
+	// live node by the time z is reached: the stale ID must not read as
+	// "already frozen here".
+	z := strand("z", 1)
+	mustProgram(t, NewSeq(strand("a", 1), z), nil)
+	if z.ID != 2 {
+		t.Fatalf("setup: z.ID = %d, want 2", z.ID)
+	}
+	b := strand("b", 1)
+	p := mustProgram(t, NewSeq(NewPar(b, strand("c", 1)), z), nil)
+	if p.Nodes[2] != b || z.ID != 4 || p.Nodes[4] != z {
+		t.Fatalf("z.ID = %d, Nodes[2] = %q, want z at 4 and b at 2", z.ID, p.Nodes[2].Label)
+	}
+	// A stale ID past the end of the live prefix is no duplicate either.
+	late := strand("late", 1)
+	late.ID = 99
+	if _, err := NewProgram(NewSeq(strand("d", 1), late), nil); err != nil {
+		t.Fatalf("out-of-range stale ID rejected: %v", err)
+	}
+}
+
 func TestSizesAndLeafRanges(t *testing.T) {
 	a := NewStrand("a", 1, footprint.Single(0, 10), nil, nil)
 	b := NewStrand("b", 1, footprint.Single(5, 15), footprint.Single(20, 25), nil)

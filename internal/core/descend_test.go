@@ -40,10 +40,48 @@ func TestDescendAllDedup(t *testing.T) {
 	}
 }
 
+// TestDescendAppendKeepsPrefix pins the scratch-stack contract the DRS
+// relies on: descending onto a non-empty stack leaves the entries below
+// it untouched and appends exactly what DescendAll returns, and a failed
+// descent hands the stack back at its original length.
+func TestDescendAppendKeepsPrefix(t *testing.T) {
+	a, b, c, d := strand("a", 1), strand("b", 1), strand("c", 1), strand("d", 1)
+	root := NewPar(NewSeq(a, b), NewPar(c, d))
+	mustProgram(t, root, nil)
+	for _, ped := range []Pedigree{{}, {2}, {Wildcard}, {Wildcard, Wildcard}, {Wildcard, 1}, {1, Wildcard, 2}} {
+		want, err := root.DescendAll(ped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []*Node{d, c, b}
+		stack, err := root.descendAppend(append([]*Node(nil), prefix...), ped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stack) != len(prefix)+len(want) {
+			t.Fatalf("%s: stack %v, want prefix %v then %v", ped, stack, prefix, want)
+		}
+		for i, n := range prefix {
+			if stack[i] != n {
+				t.Fatalf("%s: prefix clobbered: %v", ped, stack)
+			}
+		}
+		for i, n := range want {
+			if stack[len(prefix)+i] != n {
+				t.Fatalf("%s: appended %v, want %v", ped, stack[len(prefix):], want)
+			}
+		}
+	}
+	stack, err := root.descendAppend([]*Node{a}, Pedigree{Wildcard, 3})
+	if err == nil || len(stack) != 1 || stack[0] != a {
+		t.Fatalf("failed descent: stack %v, err %v; want [a] and an error", stack, err)
+	}
+}
+
 // BenchmarkDescendAll measures the DRS-hot wildcard descent on a
-// realistic recursive tree; the allocs/op column is the point — the
-// slice-based seen-set performs one allocation per component (the result
-// slice), not a map per component.
+// realistic recursive tree; the allocs/op column is the point — each
+// frontier is built in place in the result slice, so only its growth
+// allocates (and the DRS, reusing one stack, not even that).
 func BenchmarkDescendAll(b *testing.B) {
 	// Balanced 4-ary tree of internal Par nodes, depth 4.
 	var build func(depth int) *Node

@@ -61,6 +61,12 @@ func Rewrite(p *Program) (*Graph, error) {
 		return true
 	}
 
+	// stack holds the endpoint lists of every rule being expanded on the
+	// current recursion path. Each rule appends its source and sink lists
+	// past its caller's and truncates back when done, so nested calls
+	// never clobber an enclosing rule's lists, and the whole rewrite
+	// allocates only when the stack grows.
+	var stack []*Node
 	var rewrite func(typ string, a, b *Node) error
 	rewrite = func(typ string, a, b *Node) error {
 		if !visit(typ, a, b) {
@@ -79,16 +85,21 @@ func Rewrite(p *Program) (*Graph, error) {
 			return g.addArrow(a, b)
 		}
 		for _, r := range rules {
-			sas, err := a.DescendAll(r.Src)
-			if err != nil {
+			base := len(stack)
+			var err error
+			if stack, err = a.descendAppend(stack, r.Src); err != nil {
 				return fmt.Errorf("fire type %q, rule %s, source side: %w", typ, r, err)
 			}
-			sbs, err := b.DescendAll(r.Dst)
-			if err != nil {
+			mid := len(stack)
+			if stack, err = b.descendAppend(stack, r.Dst); err != nil {
 				return fmt.Errorf("fire type %q, rule %s, sink side: %w", typ, r, err)
 			}
-			for _, sa := range sas {
-				for _, sb := range sbs {
+			end := len(stack)
+			// Index through stack, which a nested call may reallocate;
+			// it leaves stack[:end] intact either way.
+			for i := base; i < mid; i++ {
+				for j := mid; j < end; j++ {
+					sa, sb := stack[i], stack[j]
 					if r.Type == FullDep {
 						if err := g.addArrow(sa, sb); err != nil {
 							return fmt.Errorf("fire type %q, rule %s: %w", typ, r, err)
@@ -100,6 +111,7 @@ func Rewrite(p *Program) (*Graph, error) {
 					}
 				}
 			}
+			stack = stack[:base]
 		}
 		return nil
 	}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Arrow is a solid dataflow arrow between two spawn tree nodes: the task To
@@ -125,11 +126,11 @@ func BuildGraph(p *Program, arrows []Arrow) (*Graph, error) {
 // finish sort-deduplicates the arrows and compiles the event graph,
 // verifying acyclicity.
 func (g *Graph) finish() error {
-	sort.Slice(g.Arrows, func(i, j int) bool {
-		if g.Arrows[i].From.ID != g.Arrows[j].From.ID {
-			return g.Arrows[i].From.ID < g.Arrows[j].From.ID
+	slices.SortFunc(g.Arrows, func(a, b Arrow) int {
+		if c := cmp.Compare(a.From.ID, b.From.ID); c != 0 {
+			return c
 		}
-		return g.Arrows[i].To.ID < g.Arrows[j].To.ID
+		return cmp.Compare(a.To.ID, b.To.ID)
 	})
 	kept := g.Arrows[:0]
 	for i, a := range g.Arrows {

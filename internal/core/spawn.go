@@ -118,41 +118,58 @@ func (n *Node) Descend(p Pedigree) (*Node, error) {
 
 // DescendAll follows the pedigree like Descend, expanding each Wildcard
 // component to every child of the current node. It returns all reached
-// nodes (deduplicated when strands truncate distinct paths). The result
-// set doubles as the seen-set — frontiers are a handful of nodes, so a
-// linear scan beats a per-component map allocation on the DRS hot path.
+// nodes (deduplicated when strands truncate distinct paths).
 func (n *Node) DescendAll(p Pedigree) ([]*Node, error) {
-	cur := []*Node{n}
+	out, err := n.descendAppend(nil, p)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// descendAppend appends the nodes DescendAll reaches to buf and returns
+// the extended buf. The frontier lives in buf too: each component's next
+// frontier is built past the current one and then slid down over it, so a
+// caller that reuses one stack across calls allocates only when the stack
+// grows. The frontier doubles as its own seen-set; frontiers are a handful
+// of nodes, so a linear scan beats a map on the DRS hot path. On error buf
+// is returned truncated to its original length.
+func (n *Node) descendAppend(buf []*Node, p Pedigree) ([]*Node, error) {
+	base := len(buf)
+	buf = append(buf, n)
 	for ci, idx := range p {
-		var next []*Node
-		add := func(m *Node) {
-			for _, x := range next {
-				if x == m {
-					return
-				}
-			}
-			next = append(next, m)
-		}
-		for _, c := range cur {
+		next := len(buf) // the frontier is buf[base:next]
+		for k := base; k < next; k++ {
+			c := buf[k]
 			if c.Kind == KindStrand {
-				add(c)
+				buf = appendUnique(buf, next, c)
 				continue
 			}
 			if idx == Wildcard {
 				for _, child := range c.Children {
-					add(child)
+					buf = appendUnique(buf, next, child)
 				}
 				continue
 			}
 			if idx < 1 || idx > len(c.Children) {
-				return nil, fmt.Errorf("pedigree %s (component %d) does not exist under %s node %q (has %d children)",
+				return buf[:base], fmt.Errorf("pedigree %s (component %d) does not exist under %s node %q (has %d children)",
 					p, ci+1, c.Kind, c.Label, len(c.Children))
 			}
-			add(c.Children[idx-1])
+			buf = appendUnique(buf, next, c.Children[idx-1])
 		}
-		cur = next
+		buf = append(buf[:base], buf[next:]...)
 	}
-	return cur, nil
+	return buf, nil
+}
+
+// appendUnique appends m to buf unless buf[from:] already holds it.
+func appendUnique(buf []*Node, from int, m *Node) []*Node {
+	for _, x := range buf[from:] {
+		if x == m {
+			return buf
+		}
+	}
+	return append(buf, m)
 }
 
 // IsLeaf reports whether the node is a strand.
@@ -209,13 +226,14 @@ func NewProgram(root *Node, rules RuleSet) (*Program, error) {
 		return nil, fmt.Errorf("invalid rule set: %w", err)
 	}
 	p := &Program{Root: root, Rules: rules}
-	seen := map[*Node]bool{}
 	var freeze func(n, parent *Node, index, depth int) error
 	freeze = func(n, parent *Node, index, depth int) error {
-		if seen[n] {
+		// A node already frozen into p has p.Nodes[n.ID] == n. A node
+		// reused from an earlier program carries a stale ID, which
+		// indexes a different node of p or none, so the test is exact.
+		if n.ID >= 0 && n.ID < len(p.Nodes) && p.Nodes[n.ID] == n {
 			return fmt.Errorf("node %q appears twice in the spawn tree", n.Label)
 		}
-		seen[n] = true
 		n.ID = len(p.Nodes)
 		n.Parent = parent
 		n.Index = index
@@ -248,8 +266,10 @@ func NewProgram(root *Node, rules RuleSet) (*Program, error) {
 		default:
 			return fmt.Errorf("node %q has invalid kind %v", n.Label, n.Kind)
 		}
+		// Child footprints are normalized, so the subtree's is folded
+		// from them by linear merges rather than re-sorted.
 		n.leafLo = len(p.Leaves)
-		sets := make([]footprint.Set, 0, len(n.Children))
+		n.footprint = nil
 		for i, c := range n.Children {
 			if c == nil {
 				return fmt.Errorf("%s node %q has nil child %d", n.Kind, n.Label, i+1)
@@ -257,10 +277,9 @@ func NewProgram(root *Node, rules RuleSet) (*Program, error) {
 			if err := freeze(c, n, i+1, depth+1); err != nil {
 				return err
 			}
-			sets = append(sets, c.footprint)
+			n.footprint = footprint.Union(n.footprint, c.footprint)
 		}
 		n.leafHi = len(p.Leaves)
-		n.footprint = footprint.UnionAll(sets...)
 		return nil
 	}
 	if err := freeze(root, nil, 0, 0); err != nil {

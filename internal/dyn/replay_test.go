@@ -279,3 +279,46 @@ func TestReplayDegenerateGraphs(t *testing.T) {
 		ladder(t, g.Exec())
 	})
 }
+
+// TestReplayNoSpuriousStall guards the engine's quiescence watchdog
+// against false positives on healthy runs. Each layer of the graph
+// depends on every strand of the one before, so the last Put of a layer
+// wakes a whole layer at once: one frame chains on the resolver, the rest
+// are pushed and stolen by workers that are on their way to park. A thief
+// that steals during its post-announcement recheck holds the task until
+// it retakes the engine mutex; the watchdog used to count it as idle and
+// fail the run with an UnresolvedFutureError (about one run in a hundred
+// on two CPUs).
+func TestReplayNoSpuriousStall(t *testing.T) {
+	const layers, width = 8, 8
+	var hits atomic.Int64
+	seq := make([]*core.Node, layers)
+	for l := range seq {
+		par := make([]*core.Node, width)
+		for i := range par {
+			par[i] = core.NewStrand(fmt.Sprint(l, i), 1, nil, nil, func() { hits.Add(1) })
+		}
+		seq[l] = core.NewPar(par...)
+	}
+	p, err := core.NewProgram(core.NewSeq(seq...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := core.Rewrite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eg := g.Exec()
+	root := Replay(eg, StrandDeps(eg))
+	e := exec.NewEngine(4)
+	defer e.Close()
+	const runs = 2000
+	for i := 0; i < runs; i++ {
+		if err := Run(e, root); err != nil {
+			t.Fatalf("run %d of a healthy graph failed: %v", i, err)
+		}
+	}
+	if got := hits.Load(); got != runs*layers*width {
+		t.Fatalf("%d strand executions, want %d", got, runs*layers*width)
+	}
+}

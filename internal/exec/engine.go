@@ -354,10 +354,15 @@ type Engine struct {
 	// finds nothing (see acquire), so a publication between sweep and
 	// park is never lost.
 	epoch    uint64
-	sleepers int          // parked workers, under mu
+	sleepers int          // workers that announced parking, under mu
 	nSleep   atomic.Int32 // mirror of sleepers for lock-free hot-path checks
-	closed   bool
-	active   int // in-flight runs, under mu
+	// parked counts the sleepers past the final epoch check, under mu:
+	// each failed both sweeps and holds no task. A sleeper still in its
+	// recheck sweep may already hold a stolen task word, so only parked
+	// workers count toward the quiescence watchdog.
+	parked int
+	closed bool
+	active int // in-flight runs, under mu
 	// inject is the global submission queue (tasks not yet on any deque),
 	// consumed FIFO from injectHead so the oldest submission's strands are
 	// served first; the dead prefix is compacted, worksteal-deque style.
@@ -999,7 +1004,9 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 				// force-drained (failing the run) instead of hanging Wait
 				// forever. The drain publishes task words, bumping the
 				// epoch, so the ladder loops back around to consume them.
+				e.parked++
 				if stalled := e.stalledRunsLocked(); len(stalled) != 0 {
+					e.parked--
 					e.mu.Unlock()
 					e.rescue(stalled)
 					e.mu.Lock()
@@ -1009,6 +1016,7 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 						tr.Record(self, telemetry.EvPark, -1, -1, 0)
 					}
 					e.cond.Wait()
+					e.parked--
 					if tr := e.tracer; tr != nil {
 						tr.Record(self, telemetry.EvUnpark, -1, -1, 0)
 					}
@@ -1023,18 +1031,21 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 
 // stalledRunsLocked is the quiescence watchdog's detection step, called
 // under the engine mutex at the final park edge (the calling worker is
-// already counted in sleepers). The pool is quiescent iff every worker
-// is a sleeper, the injector is drained, and the epoch is unchanged —
-// then no unconsumed published work exists anywhere (deques, MultiQueue,
+// already counted in parked). The pool is quiescent iff every worker is
+// parked, the injector is drained, and the epoch is unchanged — then no
+// unconsumed published work exists anywhere (deques, MultiQueue,
 // mailboxes are all swept before parking; deferred and pend words are
-// only held by running workers), so an active run's remaining strands
+// only held by running workers). Counting mere sleepers is not enough: a
+// sleeper whose recheck sweep just stole a task word holds it until it
+// retakes the mutex, and calling the pool quiescent then fails a healthy
+// run. With every worker parked, an active run's remaining strands
 // can only be parked behind unresolved futures. Such runs are stalled:
 // they will never finish unless an external resolver feeds them. When a
 // resolver is registered, healthy runs get the benefit of the doubt and
 // only already-failed (cancelled/panicked) runs are selected; each run
 // is selected at most once per submission (rescued flag).
 func (e *Engine) stalledRunsLocked() []*Run {
-	if e.sleepers != e.workers || e.active == 0 || len(e.inject) != e.injectHead {
+	if e.parked != e.workers || e.active == 0 || len(e.inject) != e.injectHead {
 		return nil
 	}
 	ext := e.resolvers.Load() > 0

@@ -6,7 +6,9 @@
 package footprint
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,30 +36,49 @@ func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi)
 type Set []Interval
 
 // New builds a normalized Set from arbitrary intervals: empties are dropped,
-// overlapping and adjacent intervals are merged.
+// overlapping and adjacent intervals are merged. Input already in Lo order
+// (the common case: rows of a matrix view, ranges listed left to right) is
+// swept without sorting.
 func New(ivs ...Interval) Set {
 	tmp := make([]Interval, 0, len(ivs))
+	sorted := true
 	for _, iv := range ivs {
-		if !iv.Empty() {
-			tmp = append(tmp, iv)
+		if iv.Empty() {
+			continue
 		}
+		if n := len(tmp); n > 0 && iv.Lo < tmp[n-1].Lo {
+			sorted = false
+		}
+		tmp = append(tmp, iv)
 	}
 	if len(tmp) == 0 {
 		return nil
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i].Lo < tmp[j].Lo })
-	out := tmp[:1]
-	for _, iv := range tmp[1:] {
-		last := &out[len(out)-1]
-		if iv.Lo <= last.Hi {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-		} else {
-			out = append(out, iv)
-		}
+	if !sorted {
+		slices.SortFunc(tmp, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
 	}
-	return Set(out)
+	out := Set(tmp[:1])
+	for _, iv := range tmp[1:] {
+		out = out.appendMerged(iv)
+	}
+	return out
+}
+
+// appendMerged appends iv to s, which must be normalized, coalescing it
+// with the last interval when they overlap or touch. iv.Lo must be at least
+// the Lo of s's last interval, so appending intervals in Lo order keeps s
+// normalized. The result reuses s's backing array.
+func (s Set) appendMerged(iv Interval) Set {
+	if iv.Empty() {
+		return s
+	}
+	if n := len(s); n > 0 && iv.Lo <= s[n-1].Hi {
+		if iv.Hi > s[n-1].Hi {
+			s[n-1].Hi = iv.Hi
+		}
+		return s
+	}
+	return append(s, iv)
 }
 
 // Single returns a set holding the single half-open interval [lo, hi).
@@ -75,7 +96,11 @@ func (s Set) Words() int64 {
 // Empty reports whether the set contains no words.
 func (s Set) Empty() bool { return len(s) == 0 }
 
-// Union returns the normalized union of a and b.
+// Union returns the normalized union of a and b, which must be normalized
+// (every Set built by this package is). It is one linear merge: the two
+// operands are interleaved in Lo order and coalesced as they are appended,
+// so no sort runs. An empty operand returns the other unchanged; otherwise
+// the result is a fresh slice of capacity len(a)+len(b).
 func Union(a, b Set) Set {
 	if len(a) == 0 {
 		return b
@@ -83,23 +108,38 @@ func Union(a, b Set) Set {
 	if len(b) == 0 {
 		return a
 	}
-	merged := make([]Interval, 0, len(a)+len(b))
-	merged = append(merged, a...)
-	merged = append(merged, b...)
-	return New(merged...)
+	out := make(Set, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].Lo <= b[j].Lo {
+			out = out.appendMerged(a[i])
+			i++
+		} else {
+			out = out.appendMerged(b[j])
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		out = out.appendMerged(a[i])
+	}
+	for ; j < len(b); j++ {
+		out = out.appendMerged(b[j])
+	}
+	return out
 }
 
-// UnionAll returns the normalized union of all the given sets.
+// UnionAll returns the normalized union of all the given sets, which must
+// be normalized. It folds Union over the halves of the list, so k sets
+// totalling n intervals cost O(n log k) and never a sort.
 func UnionAll(sets ...Set) Set {
-	var total int
-	for _, s := range sets {
-		total += len(s)
+	switch len(sets) {
+	case 0:
+		return nil
+	case 1:
+		return sets[0]
 	}
-	merged := make([]Interval, 0, total)
-	for _, s := range sets {
-		merged = append(merged, s...)
-	}
-	return New(merged...)
+	mid := len(sets) / 2
+	return Union(UnionAll(sets[:mid]...), UnionAll(sets[mid:]...))
 }
 
 // Intersects reports whether a and b share at least one word.

@@ -134,15 +134,27 @@ func (m *Matrix) T() *Matrix {
 // IsTransposed reports whether the view is a transposed alias.
 func (m *Matrix) IsTransposed() bool { return m.trans }
 
-// Footprint returns the set of word addresses covered by the view.
+// Footprint returns the set of word addresses covered by the view. Rows
+// are laid out at increasing addresses one stride apart, so the row
+// intervals are emitted already normalized: full-width rows (cols ==
+// stride) touch and collapse into one interval, and narrower rows are
+// separated by the stride gap. The result holds exactly its intervals.
 func (m *Matrix) Footprint() footprint.Set {
 	rows, cols, stride := m.rows, m.cols, m.stride // underlying orientation
-	ivs := make([]footprint.Interval, 0, rows)
+	n := rows
+	if cols == stride {
+		n = 1
+	}
+	s := make(footprint.Set, 0, n)
 	for i := 0; i < rows; i++ {
 		lo := m.base + int64((m.r0+i)*stride+m.c0)
-		ivs = append(ivs, footprint.Interval{Lo: lo, Hi: lo + int64(cols)})
+		if k := len(s); k > 0 && s[k-1].Hi == lo {
+			s[k-1].Hi = lo + int64(cols)
+			continue
+		}
+		s = append(s, footprint.Interval{Lo: lo, Hi: lo + int64(cols)})
 	}
-	return footprint.New(ivs...)
+	return s
 }
 
 // Footprints unions the footprints of several views.

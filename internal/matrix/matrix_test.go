@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -259,6 +260,70 @@ func TestQuickSolveRoundTrip(t *testing.T) {
 		return MaxAbsDiff(b, x) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// elementWords is the footprint oracle: one single-word interval per
+// element of the view, at the address At and Set touch, normalized by
+// footprint.New.
+func elementWords(m *Matrix) footprint.Set {
+	var ivs []footprint.Interval
+	for i := 0; i < m.Rows(); i++ {
+		for j := 0; j < m.Cols(); j++ {
+			w := m.base + int64(m.index(i, j))
+			ivs = append(ivs, footprint.Interval{Lo: w, Hi: w + 1})
+		}
+	}
+	return footprint.New(ivs...)
+}
+
+func TestFootprintMatchesElements(t *testing.T) {
+	s := NewSpace()
+	New(s, 3, 5) // offset the base address from 0
+	m := New(s, 8, 8)
+	cases := []struct {
+		name      string
+		v         *Matrix
+		intervals int
+	}{
+		{"full", m, 1},
+		{"full rows", m.View(2, 0, 3, 8), 1},
+		{"single row", m.View(5, 1, 1, 4), 1},
+		{"strided", m.View(1, 2, 4, 3), 4},
+		{"quadrant", m.Quad(1, 0), 4},
+		{"nested quadrant", m.Quad(0, 1).Quad(1, 1), 2},
+		{"transposed", m.T(), 1},
+		{"transposed quadrant", m.T().Quad(0, 1), 4},
+		{"transposed strided", m.View(1, 2, 4, 3).T(), 4},
+		{"single column", m.View(0, 3, 8, 1), 8},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := c.v.Footprint(), elementWords(c.v)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Footprint = %v, want %v", got, want)
+			}
+			if len(got) != c.intervals || cap(got) != len(got) {
+				t.Fatalf("Footprint = %v (cap %d), want exactly %d intervals", got, cap(got), c.intervals)
+			}
+		})
+	}
+}
+
+func TestQuickFootprintMatchesElements(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows, cols := 1+r.Intn(9), 1+r.Intn(9)
+		m := New(NewSpace(), rows, cols)
+		i0, j0 := r.Intn(rows), r.Intn(cols)
+		v := m.View(i0, j0, 1+r.Intn(rows-i0), 1+r.Intn(cols-j0))
+		if r.Intn(2) == 0 {
+			v = v.T()
+		}
+		return slices.Equal(v.Footprint(), elementWords(v))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

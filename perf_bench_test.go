@@ -1,12 +1,13 @@
-// Micro-benchmarks for the compiled-core pipeline: the DAG Rewriting
-// System (BenchmarkRewrite), the CSR compile step (BenchmarkCompile), the
+// Micro-benchmarks for the compiled-core pipeline: program construction
+// (BenchmarkProgramBuild), the DAG Rewriting System (BenchmarkRewrite),
+// the CSR compile step (BenchmarkCompile), the
 // real-machine runtime (BenchmarkRunParallel vs. the retired
 // mutex-serialized baseline) and the long-lived execution engine
 // (BenchmarkEngineRerun for zero-alloc cached re-runs,
 // BenchmarkEngineThroughput vs. BenchmarkSpawnPerRunThroughput for
 // concurrent serving) on large Floyd–Warshall and LU instances. Run with
 //
-//	go test -bench 'Rewrite|Compile|RunParallel|Engine|SpawnPerRun' -benchmem
+//	go test -bench 'ProgramBuild|Rewrite|Compile|RunParallel|Engine|SpawnPerRun' -benchmem
 //
 // to measure both throughput and per-strand allocation behaviour.
 package ndflow_test
@@ -16,8 +17,13 @@ import (
 	"testing"
 
 	"github.com/ndflow/ndflow/internal/algos"
+	"github.com/ndflow/ndflow/internal/algos/cholesky"
 	"github.com/ndflow/ndflow/internal/algos/fw"
+	"github.com/ndflow/ndflow/internal/algos/lcs"
 	"github.com/ndflow/ndflow/internal/algos/lu"
+	"github.com/ndflow/ndflow/internal/algos/matmul"
+	"github.com/ndflow/ndflow/internal/algos/stencil"
+	"github.com/ndflow/ndflow/internal/algos/trs"
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
@@ -55,6 +61,68 @@ func luGraph(b *testing.B, n, base int) *core.Graph {
 		b.Fatal(err)
 	}
 	return core.MustRewrite(prog)
+}
+
+// BenchmarkProgramBuild measures the front end's first layer: building
+// and freezing a fresh spawn tree (strand footprints, subtree unions,
+// NewProgram) for each of the seven ND builders, at the sizes and base
+// case the cold-mix benchmark workload uses. Inputs are generated once;
+// only program construction is timed.
+func BenchmarkProgramBuild(b *testing.B) {
+	const base = 8
+	square := func(s *matrix.Space, n int, fill func(*matrix.Matrix)) *matrix.Matrix {
+		m := matrix.New(s, n, n)
+		fill(m)
+		return m
+	}
+	r := rand.New(rand.NewSource(1))
+	random := func(m *matrix.Matrix) { m.FillRandom(r) }
+	s := matrix.NewSpace()
+	luA := square(s, 128, func(m *matrix.Matrix) {
+		m.FillRandom(r)
+		for i := 0; i < 128; i++ {
+			m.Add(i, i, 2)
+		}
+	})
+	luInst, err := lu.NewInstance(s, luA, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mmA, mmB, mmC := square(s, 64, random), square(s, 64, random), square(s, 64, random)
+	trsT := square(s, 128, func(m *matrix.Matrix) { m.FillLowerTriangular(r) })
+	trsX := square(s, 128, random)
+	chol := square(s, 128, func(m *matrix.Matrix) { m.FillSPD(r) })
+	fwInst := fw.NewInstance(matrix.NewSpace(), 256, 1)
+	lcsInst := lcs.NewInstance(matrix.NewSpace(), 256, 3, 1)
+	stInst := stencil.NewInstance(matrix.NewSpace(), 256, 1)
+	cases := []struct {
+		name  string
+		build func() (*core.Program, error)
+	}{
+		{"MM-64", func() (*core.Program, error) { return matmul.New(algos.ND, mmC, mmA, mmB, 1, base) }},
+		{"TRS-128", func() (*core.Program, error) { return trs.New(algos.ND, trsT, trsX, base) }},
+		{"Cholesky-128", func() (*core.Program, error) {
+			p, _, err := cholesky.New(algos.ND, chol, base)
+			return p, err
+		}},
+		{"LU-128", func() (*core.Program, error) { return lu.New(algos.ND, luInst) }},
+		{"FW-1D-256", func() (*core.Program, error) { return fw.New(algos.ND, fwInst, base) }},
+		{"LCS-256", func() (*core.Program, error) { return lcs.New(algos.ND, lcsInst, base) }},
+		{"Stencil-256", func() (*core.Program, error) { return stencil.New(algos.ND, stInst, base) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var prog *core.Program
+			for i := 0; i < b.N; i++ {
+				var err error
+				if prog, err = c.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(prog.Nodes)), "nodes")
+		})
+	}
 }
 
 // BenchmarkRewrite measures the DAG Rewriting System (including the CSR
