@@ -10,7 +10,8 @@
 // It also has a serving mode that exercises the long-lived execution
 // engine the way a production deployment would — N concurrent submitters
 // re-running one cached program M times each — and reports runs/sec and
-// allocs/run against the spawn-per-run baseline:
+// allocs/run against the engine-per-run baseline (a throwaway engine per
+// run, which is what ndflow.Run does for an explicit worker count):
 //
 //	ndbench -serve                            # defaults: FW-1D n=256, 4×200
 //	ndbench -serve -submitters 8 -repeats 500 -algo TRS -n 128 -nilbodies
@@ -40,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ndflow/ndflow"
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/dyn"
@@ -134,7 +136,8 @@ func emit(tables []*experiments.Table, jsonOut bool) {
 // serveBench measures serving throughput and returns the result table:
 // submitters × repeats runs, first through a shared engine
 // (compiled-graph cache, pooled instances, parked workers), then through
-// spawn-per-run exec.RunParallel calls on the same worker count.
+// ndflow.Run calls that each start and close an engine of the same
+// worker count.
 //
 // With live strand bodies each submitter re-runs its own instance (its
 // own backing matrices, like distinct requests in a server) — concurrent
@@ -144,6 +147,14 @@ func emit(tables []*experiments.Table, jsonOut bool) {
 // (LU, Cholesky, TRS). -nilbodies strips the closures, shares one graph
 // across submitters, and isolates scheduling overhead for any algorithm.
 func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodies, dynMode, locality bool, policy, traceOut string, metricsOut bool) ([]*experiments.Table, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-submitters", submitters}, {"-repeats", repeats}, {"-n", n}, {"-base", base}} {
+		if f.v < 1 {
+			return nil, fmt.Errorf("%s %d: must be at least 1", f.name, f.v)
+		}
+	}
 	// Pure forward recurrences recompute the same table from untouched
 	// inputs, so re-running one instance is sound; everything else (the
 	// in-place destructive factorizations and solves) must serve with
@@ -194,7 +205,7 @@ func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodie
 		run  func(s int) error
 	}{
 		{"engine", func(s int) error { return eng.Run(graphs[s].P) }},
-		{"spawn-per-run", func(s int) error { return exec.RunParallel(graphs[s], workers) }},
+		{"engine-per-run", func(s int) error { return ndflow.Run(graphs[s], workers) }},
 	}
 	if locality {
 		// The locality-aware engine: the same cached re-runs with workers
@@ -296,7 +307,7 @@ func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodie
 			fmt.Sprintf("%.0f", float64(runs)/wall.Seconds()),
 			fmt.Sprintf("%.1f", allocs), fmt.Sprintf("%.0f", bytes))
 	}
-	t.Note("engine amortizes Rewrite+Compile, trackers and worker spawn across runs; spawn-per-run pays all three each time")
+	t.Note("engine amortizes run state and worker spawn across runs; engine-per-run pays both each time")
 	if dynMode {
 		var st dyn.ProgramStats
 		compiled := 0
@@ -320,7 +331,7 @@ func serveBench(algo string, n, base, workers, submitters, repeats int, nilBodie
 			compiled, len(progs), mHits, mRuns, hitRate, st.Records, st.Divergences, st.Vetoes)
 	}
 	if workers == 1 {
-		t.Note("workers=1: the spawn-per-run baseline degenerates to replaying the compiled serial schedule")
+		t.Note("workers=1: the engine-per-run baseline degenerates to replaying the compiled serial schedule")
 		t.Note("(no pool, no tracker, no spawn) — compare engines at -workers ≥ 2 for the serving comparison")
 	}
 	tables := []*experiments.Table{t}

@@ -86,7 +86,7 @@ func golden(tb testing.TB, c diffCase, model string) []uint64 {
 	return bits(outs)
 }
 
-// TestChaosPanicWall: 8 builders × 11 runtimes. Each runtime executes a
+// TestChaosPanicWall: 8 builders × 9 runtimes. Each runtime executes a
 // sabotaged instance (must fail typed, within the deadline), then a
 // clean instance on the very same engine (must match golden bits).
 func TestChaosPanicWall(t *testing.T) {
@@ -125,8 +125,6 @@ func TestChaosPanicWall(t *testing.T) {
 		{"elision", false, exec.RunElision},
 		{"random-topo", false, func(g *core.Graph) error { return exec.RunRandomTopo(g, 99) }},
 		{"reverse-greedy", false, exec.RunReverseGreedy},
-		{"mutex-4", false, func(g *core.Graph) error { return exec.RunParallelMutex(g, 4) }},
-		{"lockfree-4", false, func(g *core.Graph) error { return exec.RunParallel(g, 4) }},
 		{"engine", false, submitTo(eng)},
 		{"dyn", false, func(g *core.Graph) error { return dyn.RunGraph(eng, g) }},
 		{"locality-4", false, submitTo(locEng)},

@@ -1,15 +1,14 @@
 // Cross-runtime differential tests: every algorithm builder executed via
 // the serial elision, the adversarial serial orders (random topological,
-// reverse greedy), the mutex-serialized baseline, the lock-free work
-// stealer, the long-lived engine, the online dynamic runtime and the
-// locality-aware engine must produce bit-identical output matrices. The
-// compiled runtimes propagate readiness through the strand-level wake
-// graph (serial drivers via Tracker, parallel ones via
-// ConcurrentTracker); the dynamic runtime rebuilds the dependency
-// structure online from Spawn/Future gating and learns the DAG one task
-// at a time; the locality-aware engine re-routes anchored strands
-// through cache-domain mailboxes. All eight execute the same strand
-// closures, and the deps validator guarantees conflicting accesses are
+// reverse greedy), the long-lived engine under each scheduling policy,
+// the online dynamic runtime and its replay JIT must produce
+// bit-identical output matrices. The compiled runtimes propagate
+// readiness through the strand-level wake graph (serial drivers via
+// Tracker, engines via ConcurrentTracker); the dynamic runtime rebuilds
+// the dependency structure online from Spawn/Future gating and learns
+// the DAG one task at a time; the locality-aware engine re-routes
+// anchored strands through cache-domain mailboxes. All nine execute the
+// same strand closures, and the deps validator guarantees conflicting accesses are
 // ordered by the DAG, so any divergence — down to the last mantissa bit —
 // is a scheduler, wake-graph-collapse, suspension or anchoring bug. Run
 // under -race in CI.
@@ -34,6 +33,7 @@ import (
 	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
 	"github.com/ndflow/ndflow/internal/pmh"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // diffCase builds a fresh instance of an algorithm and exposes its output
@@ -240,8 +240,6 @@ func TestRuntimesBitIdentical(t *testing.T) {
 		{"elision", false, exec.RunElision},
 		{"random-topo", false, func(g *core.Graph) error { return exec.RunRandomTopo(g, 99) }},
 		{"reverse-greedy", false, exec.RunReverseGreedy},
-		{"mutex-4", false, func(g *core.Graph) error { return exec.RunParallelMutex(g, 4) }},
-		{"lockfree-4", false, func(g *core.Graph) error { return exec.RunParallel(g, 4) }},
 		{"engine", false, func(g *core.Graph) error {
 			r, err := eng.Submit(g)
 			if err != nil {
@@ -264,7 +262,7 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			}
 			return r.Wait()
 		}},
-		// The adaptive-replay JIT (ninth runtime): the same dynamic
+		// The adaptive-replay JIT (seventh runtime): the same dynamic
 		// program run until its shape compiles, then once more through
 		// the compiled engine. Restricted to idempotent cases because the
 		// ladder re-executes one instance (observe ×2, record, replay).
@@ -282,7 +280,7 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			}
 			return nil
 		}},
-		// The critical-path-first policy (tenth runtime): fan-outs and
+		// The critical-path-first policy (eighth runtime): fan-outs and
 		// the injector order deepest-first by compile-time depth-to-sink.
 		// Order changes, outputs must not.
 		{"engine-critpath", false, func(g *core.Graph) error {
@@ -292,7 +290,7 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			}
 			return r.Wait()
 		}},
-		// The relaxed MultiQueue engine (eleventh runtime): the ready
+		// The relaxed MultiQueue engine (ninth runtime): the ready
 		// structure is approximate-priority per-worker queue pairs with
 		// pick-2-random stealing; the wake graph still gates readiness,
 		// so the schedule remains a legal execution of the DAG.
@@ -328,10 +326,11 @@ func TestRuntimesBitIdentical(t *testing.T) {
 			})
 		}
 	}
-	// The locality spec is only a meaningful eighth runtime if its
+	// The locality spec is only a meaningful sixth runtime if its
 	// anchoring machinery actually engaged on these inputs.
-	if s := locEng.Topology().Stats(); s.Claims == 0 {
-		t.Errorf("locality engine never claimed an anchor across the differential suite: %+v", s)
+	if snap := locEng.Metrics().Snapshot(); snap.Get(telemetry.MClaims) == 0 {
+		t.Errorf("locality engine never claimed an anchor across the differential suite (fallbacks %d, posts %d)",
+			snap.Get(telemetry.MFallbacks), snap.Get(telemetry.MPosts))
 	}
 }
 

@@ -15,11 +15,10 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/ndflow/ndflow"
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/algos/cholesky"
 	"github.com/ndflow/ndflow/internal/algos/trs"
-	"github.com/ndflow/ndflow/internal/core"
-	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
 )
 
@@ -44,12 +43,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gFactor, err := core.Rewrite(factorProg)
+	gFactor, err := ndflow.Rewrite(factorProg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	if err := exec.RunParallel(gFactor, runtime.NumCPU()); err != nil {
+	if err := ndflow.Run(gFactor, runtime.NumCPU()); err != nil {
 		log.Fatal(err)
 	}
 	if *errSlot != nil {
@@ -76,12 +75,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gSolve, err := core.Rewrite(solveProg)
+	gSolve, err := ndflow.Rewrite(solveProg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	if err := exec.RunParallel(gSolve, runtime.NumCPU()); err != nil {
+	if err := ndflow.Run(gSolve, runtime.NumCPU()); err != nil {
 		log.Fatal(err)
 	}
 	solveTime := time.Since(start)

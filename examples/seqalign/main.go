@@ -13,10 +13,9 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/ndflow/ndflow"
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/algos/lcs"
-	"github.com/ndflow/ndflow/internal/core"
-	"github.com/ndflow/ndflow/internal/exec"
 	"github.com/ndflow/ndflow/internal/matrix"
 )
 
@@ -40,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := core.Rewrite(prog)
+	g, err := ndflow.Rewrite(prog)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func main() {
 		w = runtime.NumCPU()
 	}
 	start = time.Now()
-	if err := exec.RunParallel(g, w); err != nil {
+	if err := ndflow.Run(g, w); err != nil {
 		log.Fatal(err)
 	}
 	parTime := time.Since(start)

@@ -3,6 +3,7 @@ package ndflow_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,6 +42,45 @@ func TestRunPanicTypedAllWorkerCounts(t *testing.T) {
 		}
 		if pe.Value != "public boom" || pe.Label != "bad" {
 			t.Fatalf("Run(workers=%d) captured strand %q value %v", workers, pe.Label, pe.Value)
+		}
+	}
+}
+
+// TestRunDoesNotLeakGoroutines: an explicit worker count above one runs
+// a throwaway engine, and Run must close it on both the clean and the
+// failing path, so the goroutine count returns to its baseline.
+func TestRunDoesNotLeakGoroutines(t *testing.T) {
+	wide := func() *ndflow.Graph {
+		leaves := make([]*ndflow.Node, 64)
+		for i := range leaves {
+			leaves[i] = ndflow.Strand("s", 1, nil, nil, func() {})
+		}
+		p, err := ndflow.NewProgram(ndflow.Par(leaves...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ndflow.Rewrite(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 4, 16} {
+		if err := ndflow.Run(wide(), workers); err != nil {
+			t.Fatalf("Run(workers=%d): %v", workers, err)
+		}
+		if err := ndflow.Run(panickyGraph(t), workers); err == nil {
+			t.Fatalf("Run(workers=%d) of a panicking graph returned nil", workers)
+		}
+		// A worker that has signalled Close may not have returned yet;
+		// give the scheduler a moment before calling it a leak.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("Run(workers=%d) leaked goroutines: %d > baseline %d", workers, got, base)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 //   - every true data dependency (from strand footprints) is enforced by
 //     the DAG (the fire rules are complete);
 //   - executing the strands in serial-elision order, in a deterministic
-//     adversarial order, in randomized topological orders, on the
-//     parallel goroutine runtime and on the long-lived engine all
-//     produce the reference result;
+//     adversarial order, in randomized topological orders, through the
+//     public ndflow.Run on a throwaway 4-worker engine and on a
+//     long-lived engine all produce the reference result;
 //   - the ND tree has the same work as the NP tree (the spawn tree is
 //     unchanged) and no larger span.
 package algotest
@@ -16,6 +16,7 @@ package algotest
 import (
 	"testing"
 
+	"github.com/ndflow/ndflow"
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/core"
 	"github.com/ndflow/ndflow/internal/deps"
@@ -48,7 +49,7 @@ func RunSuite(t *testing.T, f Factory) {
 				})
 			}
 			t.Run("parallel", func(t *testing.T) {
-				runAndCheck(t, f, model, func(g *core.Graph) error { return exec.RunParallel(g, 4) })
+				runAndCheck(t, f, model, func(g *core.Graph) error { return ndflow.Run(g, 4) })
 			})
 			t.Run("engine", func(t *testing.T) {
 				e := exec.NewEngine(4)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestWakeGraphAtomicsBudget pins the perf claim of the collapse on the
-// benchmark instance (FW-256 base 4, the BenchmarkRunParallel workload):
+// benchmark instance (FW-256 base 4, the BenchmarkEngineRerun workload):
 // one run over the wake graph must execute at least 2× fewer atomic
 // decrements than the event-graph cascade it replaced. Both counts are
 // structural — every wake edge is exactly one atomic add per run, and the

@@ -10,7 +10,7 @@ import (
 // program had been written against the online API, with one future per
 // strand carrying the dependency edges. The bridge is what lets the
 // differential-test wall hold the dynamic runtime to the same standard as
-// the six compiled runtimes — bit-identical outputs on every algorithm —
+// the compiled runtimes — bit-identical outputs on every algorithm —
 // and what the dyn-vs-compiled benchmarks are built on.
 
 // StrandDeps computes each strand's direct firing predecessors: strand u

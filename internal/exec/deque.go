@@ -8,8 +8,8 @@ import "sync/atomic"
 // a single compare-and-swap on the top index; the common owner path is two
 // atomic loads and a store.
 //
-// Elements are int64 so one deque can carry either bare strand IDs
-// (RunParallel) or the engine's packed (run slot, strand) task words.
+// Elements are the engine's int64 task words: a packed (run slot, strand)
+// pair, with dynTaskBit set for a dynamic frame (see packTask).
 //
 // The element array is accessed through atomic cells because a thief reads
 // its candidate slot before winning the CAS; the CAS ensures a torn claim

@@ -312,18 +312,6 @@ type progEntry struct {
 	use  uint64 // last-touch tick for eviction, under the engine mutex
 }
 
-// CacheStats is a snapshot of the engine's compile-cache counters: the
-// program cache (per *core.Program rewrite+compile results) and the
-// instance pools (per-ExecGraph run state). Misses are allocations or
-// compilations; evictions count entries dropped by the cache bound.
-type CacheStats struct {
-	ProgramHits    uint64
-	ProgramMisses  uint64
-	InstanceHits   uint64
-	InstanceMisses uint64
-	Evictions      uint64
-}
-
 // defaultCacheCap bounds each of the engine's two compile caches (program
 // entries, instance pools) in a long-lived serving process. Generous for
 // any benchmark or test workload; SetCacheCap tunes it.
@@ -461,30 +449,6 @@ func (e *Engine) Topology() *Topology { return e.topo }
 
 // Policy returns the engine's scheduling policy.
 func (e *Engine) Policy() Policy { return e.policy }
-
-// SchedStats is a snapshot of the engine's cross-worker scheduling
-// counters.
-type SchedStats struct {
-	// Steals counts victim-queue takes through the work-stealing
-	// protocol: deque steals and, on locality engines, far mailbox
-	// polls. A relaxed engine's compiled strands never travel on
-	// deques, so its Steals meters only the dyn-task fallback path.
-	Steals uint64
-	// CrossPops counts relaxed-MultiQueue pops from outside the
-	// popping worker's own queue pair — the relaxed engine's
-	// cross-worker transfers. The MultiQueue is a shared structure
-	// with no owner, so these are cheap uncontended-lock pops rather
-	// than Chase–Lev protocol steals; they are metered separately so
-	// the two kinds of traffic stay comparable across policies.
-	CrossPops uint64
-}
-
-// SchedStats returns a snapshot of the scheduling counters, read from
-// the telemetry registry (Metrics is the full view). Cumulative over
-// the engine's lifetime; diff two snapshots to meter a run.
-func (e *Engine) SchedStats() SchedStats {
-	return SchedStats{Steals: e.met.steals.Value(), CrossPops: e.met.crossPops.Value()}
-}
 
 func newEngine(workers int, topo *Topology, cfg engineConfig) *Engine {
 	if workers <= 0 {
@@ -706,18 +670,6 @@ func (e *Engine) evictProgsLocked() {
 		}
 		delete(e.progs, victim)
 		e.met.evictions.IncShared()
-	}
-}
-
-// CacheStats returns a snapshot of the compile-cache counters, read
-// from the telemetry registry (Metrics is the full view).
-func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{
-		ProgramHits:    e.met.progHits.Value(),
-		ProgramMisses:  e.met.progMisses.Value(),
-		InstanceHits:   e.met.instHits.Value(),
-		InstanceMisses: e.met.instMisses.Value(),
-		Evictions:      e.met.evictions.Value(),
 	}
 }
 
@@ -1027,6 +979,47 @@ func (e *Engine) acquire(self int, rng *uint64, buf []int64) (int64, []int64, bo
 		}
 		e.mu.Unlock()
 	}
+}
+
+// stealFrom is the flat steal routine of acquire's sweep: it probes
+// random victims, then sweeps deterministically so no available task is
+// ever missed. rng is a worker-local xorshift state. On success the
+// victim's index is returned alongside the task, for the tracer's steal
+// flow arrows.
+func stealFrom(deques []*wsDeque, self int, rng *uint64) (int64, int, bool) {
+	n := len(deques)
+	if n == 1 {
+		return 0, 0, false
+	}
+	for attempt := 0; attempt < 2*n; attempt++ {
+		*rng ^= *rng << 13
+		*rng ^= *rng >> 7
+		*rng ^= *rng << 17
+		victim := int(*rng % uint64(n))
+		if victim == self {
+			continue
+		}
+		if v, ok, retry := deques[victim].steal(); ok {
+			return v, victim, true
+		} else if retry {
+			attempt--
+		}
+	}
+	for victim := 0; victim < n; victim++ {
+		if victim == self {
+			continue
+		}
+		for {
+			v, ok, retry := deques[victim].steal()
+			if ok {
+				return v, victim, true
+			}
+			if !retry {
+				break
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // stalledRunsLocked is the quiescence watchdog's detection step, called

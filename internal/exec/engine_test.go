@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/ndflow/ndflow/internal/core"
+	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
 // engineGraph builds a random rewritten program with instrumented strand
@@ -268,11 +269,14 @@ func TestPackTask(t *testing.T) {
 	}
 }
 
-// TestEngineCacheStatsAndEviction covers the bounded compile caches: hit
+// metric reads one counter from the engine's telemetry registry.
+func metric(e *Engine, name string) uint64 { return e.Metrics().Snapshot().Get(name) }
+
+// TestEngineCacheMetricsAndEviction covers the bounded compile caches: hit
 // and miss accounting on both maps, LRU-ish eviction under a small cap,
 // and the safety of evicting an instance pool while its graph is still
 // in flight (the run holds its own pool pointer).
-func TestEngineCacheStatsAndEviction(t *testing.T) {
+func TestEngineCacheMetricsAndEviction(t *testing.T) {
 	e := NewEngine(2)
 	defer e.Close()
 
@@ -307,12 +311,11 @@ func TestEngineCacheStatsAndEviction(t *testing.T) {
 	for _, g := range graphs {
 		run(g)
 	}
-	st := e.CacheStats()
-	if st.InstanceMisses != uint64(len(graphs)) || st.InstanceHits != uint64(len(graphs)) {
-		t.Fatalf("instance accounting: %+v, want %d misses then %d hits", st, len(graphs), len(graphs))
+	if m, h := metric(e, telemetry.MInstMisses), metric(e, telemetry.MInstHits); m != uint64(len(graphs)) || h != uint64(len(graphs)) {
+		t.Fatalf("instance accounting: %d misses / %d hits, want %d then %d", m, h, len(graphs), len(graphs))
 	}
-	if st.Evictions != 0 {
-		t.Fatalf("evictions under default cap: %+v", st)
+	if ev := metric(e, telemetry.MEvictions); ev != 0 {
+		t.Fatalf("%d evictions under default cap", ev)
 	}
 
 	// Program cache: one miss, then hits.
@@ -326,17 +329,15 @@ func TestEngineCacheStatsAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = e.CacheStats()
-	if st.ProgramMisses != 1 || st.ProgramHits != 2 {
-		t.Fatalf("program accounting: %+v, want 1 miss / 2 hits", st)
+	if m, h := metric(e, telemetry.MProgMisses), metric(e, telemetry.MProgHits); m != 1 || h != 2 {
+		t.Fatalf("program accounting: %d misses / %d hits, want 1 / 2", m, h)
 	}
 
 	// Cap below the working set: pools are evicted oldest-first, and a
 	// re-submission of an evicted graph misses again.
 	e.SetCacheCap(2)
-	st = e.CacheStats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after capping below the pool count: %+v", st)
+	if metric(e, telemetry.MEvictions) == 0 {
+		t.Fatal("no evictions after capping below the pool count")
 	}
 	e.mu.Lock()
 	nPools := len(e.pools)
@@ -344,9 +345,9 @@ func TestEngineCacheStatsAndEviction(t *testing.T) {
 	if nPools > 2 {
 		t.Fatalf("%d pools survive a cap of 2", nPools)
 	}
-	before := e.CacheStats().InstanceMisses
+	before := metric(e, telemetry.MInstMisses)
 	run(graphs[0]) // graphs[0] is the LRU; it must have been evicted
-	if after := e.CacheStats().InstanceMisses; after != before+1 {
+	if after := metric(e, telemetry.MInstMisses); after != before+1 {
 		t.Fatalf("evicted graph did not miss on resubmission (misses %d → %d)", before, after)
 	}
 
@@ -405,19 +406,16 @@ func TestEngineCacheAdmission(t *testing.T) {
 	run(graphs[0])
 	run(graphs[1])
 	run(graphs[2]) // at cap: must evict graphs[0] (LRU), admit graphs[2]
-	st := e.CacheStats()
-	if st.Evictions != 1 || st.InstanceMisses != 3 {
-		t.Fatalf("after 3 distinct graphs at cap 2: %+v, want 3 misses / 1 eviction", st)
+	if ev, m := metric(e, telemetry.MEvictions), metric(e, telemetry.MInstMisses); ev != 1 || m != 3 {
+		t.Fatalf("after 3 distinct graphs at cap 2: %d misses / %d evictions, want 3 / 1", m, ev)
 	}
 	run(graphs[2]) // the just-admitted entry must have survived
-	st = e.CacheStats()
-	if st.InstanceHits != 1 {
-		t.Fatalf("the newest entry was evicted on admission: %+v, want its re-run to hit", st)
+	if h := metric(e, telemetry.MInstHits); h != 1 {
+		t.Fatalf("the newest entry was evicted on admission: %d hits, want its re-run to hit", h)
 	}
 	run(graphs[0]) // the LRU really was the victim
-	st = e.CacheStats()
-	if st.InstanceMisses != 4 || st.Evictions != 2 {
-		t.Fatalf("LRU graph re-run: %+v, want a 4th miss and a 2nd eviction", st)
+	if m, ev := metric(e, telemetry.MInstMisses), metric(e, telemetry.MEvictions); m != 4 || ev != 2 {
+		t.Fatalf("LRU graph re-run: %d misses / %d evictions, want a 4th miss and a 2nd eviction", m, ev)
 	}
 }
 
@@ -443,11 +441,10 @@ func TestEngineProgramCacheAdmission(t *testing.T) {
 	run(graphs[1])
 	run(graphs[2])
 	run(graphs[2])
-	st := e.CacheStats()
-	if st.ProgramHits != 1 {
-		t.Fatalf("the newest program entry was evicted on admission: %+v, want its re-run to hit", st)
+	if h := metric(e, telemetry.MProgHits); h != 1 {
+		t.Fatalf("the newest program entry was evicted on admission: %d hits, want its re-run to hit", h)
 	}
-	if st.ProgramMisses != 3 {
-		t.Fatalf("program accounting: %+v, want 3 misses", st)
+	if m := metric(e, telemetry.MProgMisses); m != 3 {
+		t.Fatalf("program accounting: %d misses, want 3", m)
 	}
 }

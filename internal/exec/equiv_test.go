@@ -132,8 +132,8 @@ func bitIndex(x uint64) int {
 }
 
 // TestRuntimeEquivalence runs random ND programs through the serial
-// elision, random topological orders, the mutex baseline and the
-// lock-free work stealer, asserting identical strand effects everywhere.
+// drivers and one-shot engines (16 workers oversubscribes any small
+// host), asserting identical strand effects everywhere.
 func TestRuntimeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		g := randomGraph(t, seed)
@@ -146,13 +146,13 @@ func TestRuntimeEquivalence(t *testing.T) {
 		instrument(eg, val)
 
 		runners := map[string]func() error{
-			"elision":     func() error { return RunElision(g) },
-			"random-topo": func() error { return RunRandomTopo(g, seed*7+1) },
-			"reverse":     func() error { return RunReverseGreedy(g) },
-			"mutex-4":     func() error { return RunParallelMutex(g, 4) },
-			"lockfree-1":  func() error { return RunParallel(g, 1) },
-			"lockfree-4":  func() error { return RunParallel(g, 4) },
-			"lockfree-16": func() error { return RunParallel(g, 16) },
+			"elision":      func() error { return RunElision(g) },
+			"random-topo":  func() error { return RunRandomTopo(g, seed*7+1) },
+			"reverse":      func() error { return RunReverseGreedy(g) },
+			"topo-strands": func() error { return RunTopoStrands(g) },
+			"engine-1":     func() error { return runOneShot(g, 1) },
+			"engine-4":     func() error { return runOneShot(g, 4) },
+			"engine-16":    func() error { return runOneShot(g, 16) },
 		}
 
 		var want []int64

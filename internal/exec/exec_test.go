@@ -98,6 +98,20 @@ func TestRunRandomTopoAllOrdersLegal(t *testing.T) {
 	}
 }
 
+// runOneShot runs g once on a throwaway engine of the given size: the
+// path ndflow.Run takes for an explicit worker count above one.
+func runOneShot(g *core.Graph, workers int) error {
+	e := NewEngine(workers)
+	defer e.Close()
+	r, err := e.SubmitInstance(NewInstance(g.Exec()))
+	if err != nil {
+		return err
+	}
+	return r.Wait()
+}
+
+// TestRunParallelExecutesAll: a one-shot 8-worker engine runs every
+// strand of a wide parallel block exactly once.
 func TestRunParallelExecutesAll(t *testing.T) {
 	var count int64
 	n := 200
@@ -113,7 +127,7 @@ func TestRunParallelExecutesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunParallel(g, 8); err != nil {
+	if err := runOneShot(g, 8); err != nil {
 		t.Fatal(err)
 	}
 	if count != int64(n) {
@@ -121,6 +135,8 @@ func TestRunParallelExecutesAll(t *testing.T) {
 	}
 }
 
+// TestRunParallelDefaultWorkers: the same through a one-shot engine of
+// the default size (GOMAXPROCS workers).
 func TestRunParallelDefaultWorkers(t *testing.T) {
 	// Independent strands must be thread-safe: use an atomic counter.
 	var count int64
@@ -136,7 +152,7 @@ func TestRunParallelDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunParallel(g, 0); err != nil {
+	if err := runOneShot(g, 0); err != nil {
 		t.Fatal(err)
 	}
 	if count != 4 {
@@ -159,7 +175,8 @@ func TestRunnersHandleNilClosures(t *testing.T) {
 		RunElision,
 		RunReverseGreedy,
 		func(g *core.Graph) error { return RunRandomTopo(g, 1) },
-		func(g *core.Graph) error { return RunParallel(g, 2) },
+		RunTopoStrands,
+		func(g *core.Graph) error { return runOneShot(g, 2) },
 	} {
 		g2 := g
 		if err := run(g2); err != nil {

@@ -339,8 +339,9 @@ func TestCloseDrainsGoroutines(t *testing.T) {
 	e.Close() // idempotent after a draining Close
 }
 
-// TestSerialRuntimesPanicTyped: every serial/pool runtime in exec.go
-// converts a body panic into the same *StrandPanicError.
+// TestSerialRuntimesPanicTyped: every serial driver in exec.go, and a
+// one-shot engine at one and four workers, converts a body panic into
+// the same *StrandPanicError.
 func TestSerialRuntimesPanicTyped(t *testing.T) {
 	mk := func() *core.Graph {
 		return seqGraph(t, nil, func() { panic("serial boom") }, nil)
@@ -349,9 +350,9 @@ func TestSerialRuntimesPanicTyped(t *testing.T) {
 		"elision":        RunElision,
 		"random-topo":    func(g *core.Graph) error { return RunRandomTopo(g, 42) },
 		"reverse-greedy": RunReverseGreedy,
-		"parallel-1":     func(g *core.Graph) error { return RunParallel(g, 1) },
-		"parallel-4":     func(g *core.Graph) error { return RunParallel(g, 4) },
-		"mutex-4":        func(g *core.Graph) error { return RunParallelMutex(g, 4) },
+		"topo-strands":   RunTopoStrands,
+		"parallel-1":     func(g *core.Graph) error { return runOneShot(g, 1) },
+		"parallel-4":     func(g *core.Graph) error { return runOneShot(g, 4) },
 	}
 	for name, run := range runtimes {
 		t.Run(name, func(t *testing.T) {

@@ -59,9 +59,9 @@ func newMetricsSet(workers int) *metricsSet {
 }
 
 // Metrics returns the engine's telemetry registry — the one source of
-// truth the legacy SchedStats/CacheStats/TopologyStats accessors now
-// read from. Snapshot it for an instantaneous reading, or pair
-// snapshots with Snapshot.Delta to meter an interval.
+// truth for its scheduling, compile-cache, locality and dyn counters.
+// Snapshot it for an instantaneous reading, or pair snapshots with
+// Snapshot.Delta to meter an interval.
 func (e *Engine) Metrics() *telemetry.Registry { return e.met.reg }
 
 // Tracer returns the tracer armed with WithTracing, nil when tracing is

@@ -50,13 +50,6 @@ import (
 	"github.com/ndflow/ndflow/internal/telemetry"
 )
 
-// TopologyStats counts locality-policy activity since engine start.
-type TopologyStats struct {
-	Claims    int64 // anchor tasks bound to a domain
-	Fallbacks int64 // anchor tasks demoted to flat stealing (no budget)
-	Posts     int64 // strands handed to a domain mailbox by an outsider
-}
-
 // Topology is the steal topology of a locality-aware engine: the worker→
 // domain maps, victim tiers, mailboxes and σ-budgets derived from a
 // machine spec. One Topology belongs to one Engine; budgets are shared
@@ -226,17 +219,6 @@ func (t *Topology) victimTiers(w int) [][]int {
 		tiers = append(tiers, rest)
 	}
 	return tiers
-}
-
-// Stats returns a snapshot of the policy counters, read from the
-// telemetry registry — the owning engine's once adopted (Engine.Metrics
-// is the full view), a private one on a free-standing topology.
-func (t *Topology) Stats() TopologyStats {
-	return TopologyStats{
-		Claims:    int64(t.met.claims.Value()),
-		Fallbacks: int64(t.met.fallbacks.Value()),
-		Posts:     int64(t.met.posts.Value()),
-	}
 }
 
 // Workers returns the pool size the topology was built for.

@@ -230,7 +230,7 @@ func TestResolveClaimsAndFallsBack(t *testing.T) {
 	if dom := over.resolve(0, 0); dom != domFlat {
 		t.Fatalf("exhausted budgets resolved to %d, want flat fallback", dom)
 	}
-	if topo.Stats().Fallbacks == 0 {
+	if topo.met.fallbacks.Value() == 0 {
 		t.Fatal("fallback not counted")
 	}
 	// Completing every strand of every claimed task releases all budget;
@@ -273,7 +273,7 @@ func TestLocalityEngineEndToEnd(t *testing.T) {
 		}
 	}
 	topo := e.Topology()
-	if topo.Stats().Claims == 0 {
+	if topo.met.claims.Value() == 0 {
 		t.Fatal("no anchor was ever claimed")
 	}
 	for k := range topo.used {

@@ -185,7 +185,7 @@ func e7Schedulers(cfg Config) (*Table, error) {
 }
 
 // e9Runtime exercises the real goroutine runtime: wall-clock speedup of
-// the parallel executor over single-worker execution for ND TRS and LCS.
+// the work-stealing engine over a one-worker engine for ND TRS and LCS.
 func e9Runtime(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E9",
@@ -215,11 +215,10 @@ func e9Runtime(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			start := time.Now()
-			if err := exec.RunParallel(g, workers); err != nil {
+			elapsed, err := timeOnEngine(g, workers)
+			if err != nil {
 				return nil, err
 			}
-			elapsed := time.Since(start)
 			if workers == 1 {
 				t1 = elapsed
 			}
@@ -229,4 +228,21 @@ func e9Runtime(cfg Config) (*Table, error) {
 	}
 	t.Note("n=%d base=%d; wall-clock times are machine dependent", n, base)
 	return t, nil
+}
+
+// timeOnEngine runs g once on a fresh engine of the given size and
+// returns the wall time of the run alone: worker spawn and shutdown stay
+// outside the clock.
+func timeOnEngine(g *core.Graph, workers int) (time.Duration, error) {
+	e := exec.NewEngine(workers)
+	defer e.Close()
+	start := time.Now()
+	r, err := e.SubmitInstance(exec.NewInstance(g.Exec()))
+	if err != nil {
+		return 0, err
+	}
+	if err := r.Wait(); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
 }

@@ -336,29 +336,29 @@ func DefaultEngine() *Engine {
 	return defaultEngine
 }
 
-// Run executes the program's strands on a lock-free work-stealing
-// goroutine pool: per-worker deques with randomized stealing, readiness
-// propagated by atomic indegree counters. With workers ≤ 0 it is a
-// convenience wrapper over the package-default engine's shared, parked
-// worker pool — with per-call run state, so one-shot graphs are not
-// retained by the process-lifetime engine (create an Engine explicitly
-// to get cached, zero-allocation re-runs). An explicit worker count runs
-// a dedicated one-shot pool of exactly that size.
+// Run executes the program's strands on a work-stealing engine. With
+// workers ≤ 0 it is a convenience wrapper over the package-default
+// engine's shared, parked worker pool — with per-call run state, so
+// one-shot graphs are not retained by the process-lifetime engine
+// (create an Engine explicitly to get cached, zero-allocation re-runs).
+// An explicit worker count above one runs a throwaway engine of exactly
+// that size, closed before Run returns. One worker, explicit or as the
+// default at GOMAXPROCS 1, replays the compiled serial schedule instead:
+// no pool, no readiness bookkeeping, no allocation.
 func Run(g *Graph, workers int) error {
-	if workers <= 0 {
-		if runtime.GOMAXPROCS(0) == 1 {
-			// A default-sized pool has one worker: keep RunParallel's
-			// allocation-free compiled-schedule replay instead of paying
-			// tracker construction and an engine round-trip.
-			return exec.RunParallel(g, 1)
-		}
-		r, err := DefaultEngine().SubmitInstance(exec.NewInstance(g.Exec()))
-		if err != nil {
-			return err
-		}
-		return r.Wait()
+	if workers == 1 || workers <= 0 && runtime.GOMAXPROCS(0) == 1 {
+		return exec.RunTopoStrands(g)
 	}
-	return exec.RunParallel(g, workers)
+	e := DefaultEngine()
+	if workers > 0 {
+		e = exec.NewEngine(workers)
+		defer e.Close()
+	}
+	r, err := e.SubmitInstance(exec.NewInstance(g.Exec()))
+	if err != nil {
+		return err
+	}
+	return r.Wait()
 }
 
 // RunSerial executes the program's serial elision.

@@ -1,13 +1,11 @@
 // Micro-benchmarks for the compiled-core pipeline: program construction
 // (BenchmarkProgramBuild), the DAG Rewriting System (BenchmarkRewrite),
-// the CSR compile step (BenchmarkCompile), the
-// real-machine runtime (BenchmarkRunParallel vs. the retired
-// mutex-serialized baseline) and the long-lived execution engine
-// (BenchmarkEngineRerun for zero-alloc cached re-runs,
-// BenchmarkEngineThroughput vs. BenchmarkSpawnPerRunThroughput for
-// concurrent serving) on large Floyd–Warshall and LU instances. Run with
+// the CSR compile step (BenchmarkCompile) and the long-lived execution
+// engine (BenchmarkEngineRerun for zero-alloc cached re-runs,
+// BenchmarkEngineThroughput vs. BenchmarkEnginePerRunThroughput for
+// concurrent serving) on large Floyd–Warshall instances. Run with
 //
-//	go test -bench 'ProgramBuild|Rewrite|Compile|RunParallel|Engine|SpawnPerRun' -benchmem
+//	go test -bench 'ProgramBuild|Rewrite|Compile|Engine' -benchmem
 //
 // to measure both throughput and per-strand allocation behaviour.
 package ndflow_test
@@ -16,6 +14,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/ndflow/ndflow"
 	"github.com/ndflow/ndflow/internal/algos"
 	"github.com/ndflow/ndflow/internal/algos/cholesky"
 	"github.com/ndflow/ndflow/internal/algos/fw"
@@ -40,27 +39,6 @@ func fwProgram(b *testing.B, n, base int) *core.Program {
 		b.Fatal(err)
 	}
 	return prog
-}
-
-// luGraph builds an ND LU factorization event graph at the given size.
-func luGraph(b *testing.B, n, base int) *core.Graph {
-	b.Helper()
-	r := rand.New(rand.NewSource(13))
-	s := matrix.NewSpace()
-	a := matrix.New(s, n, n)
-	a.FillRandom(r)
-	for i := 0; i < n; i++ {
-		a.Add(i, i, 2)
-	}
-	inst, err := lu.NewInstance(s, a, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := lu.New(algos.ND, inst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return core.MustRewrite(prog)
 }
 
 // BenchmarkProgramBuild measures the front end's first layer: building
@@ -188,57 +166,6 @@ func fwSchedGraph(b *testing.B, n, base int) *core.Graph {
 	return g
 }
 
-func benchRuntime(b *testing.B, g *core.Graph, workers int, run func(*core.Graph, int) error) {
-	b.Helper()
-	strands := float64(len(g.P.Leaves))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := run(g, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(strands*float64(b.N)/b.Elapsed().Seconds(), "strands/s")
-}
-
-// BenchmarkRunParallel measures the lock-free runtime at the default
-// worker count (GOMAXPROCS) on a quick-size FW instance: pure scheduling
-// throughput. With one worker this is the compiled-schedule path, which
-// performs zero readiness bookkeeping and zero allocation per run.
-func BenchmarkRunParallel(b *testing.B) {
-	benchRuntime(b, fwSchedGraph(b, 256, 4), 0, exec.RunParallel)
-}
-
-// BenchmarkRunParallelWorkers4 pins four workers, exercising the
-// Chase–Lev deques and atomic readiness cascades even on small hosts.
-func BenchmarkRunParallelWorkers4(b *testing.B) {
-	benchRuntime(b, fwSchedGraph(b, 256, 4), 4, exec.RunParallel)
-}
-
-// BenchmarkRunParallelMutex measures the retired mutex-serialized runtime
-// on the same instance at its default worker count (NumCPU), as the
-// comparison baseline.
-func BenchmarkRunParallelMutex(b *testing.B) {
-	benchRuntime(b, fwSchedGraph(b, 256, 4), 0, exec.RunParallelMutex)
-}
-
-// BenchmarkRunParallelMutexWorkers4 is the baseline at four workers.
-func BenchmarkRunParallelMutexWorkers4(b *testing.B) {
-	benchRuntime(b, fwSchedGraph(b, 256, 4), 4, exec.RunParallelMutex)
-}
-
-// BenchmarkRunParallelLU runs the lock-free runtime with live LU strand
-// bodies: end-to-end factorization throughput rather than pure overhead.
-func BenchmarkRunParallelLU(b *testing.B) {
-	benchRuntime(b, luGraph(b, 128, 8), 0, exec.RunParallel)
-}
-
-// BenchmarkRunParallelMutexLU is the live-body baseline.
-func BenchmarkRunParallelMutexLU(b *testing.B) {
-	benchRuntime(b, luGraph(b, 128, 8), 0, exec.RunParallelMutex)
-}
-
 // BenchmarkEngineRerun measures steady-state re-execution of one cached
 // program on a long-lived engine: the program cache serves the compiled
 // graph, the instance pool serves a generation-rewound tracker, and a run
@@ -318,7 +245,7 @@ func BenchmarkEngineRerunTraced(b *testing.B) {
 
 // BenchmarkEngineThroughput drives one engine from ≥ 4 concurrent
 // submitters re-running the same cached program; compare against
-// BenchmarkSpawnPerRunThroughput, which pays pool spawn plus tracker
+// BenchmarkEnginePerRunThroughput, which pays engine start plus tracker
 // allocation on every run.
 func BenchmarkEngineThroughput(b *testing.B) {
 	g := fwSchedGraph(b, 256, 4)
@@ -340,17 +267,18 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkSpawnPerRunThroughput is the spawn-per-run baseline for
-// BenchmarkEngineThroughput: the same concurrent submitters, each call
-// building a fresh 4-worker pool, deques and tracker.
-func BenchmarkSpawnPerRunThroughput(b *testing.B) {
+// BenchmarkEnginePerRunThroughput is the engine-per-run baseline for
+// BenchmarkEngineThroughput: the same concurrent submitters, each
+// ndflow.Run call starting and closing a fresh 4-worker engine with its
+// own deques and tracker.
+func BenchmarkEnginePerRunThroughput(b *testing.B) {
 	g := fwSchedGraph(b, 256, 4)
 	b.SetParallelism(4)
 	b.ResetTimer()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := exec.RunParallel(g, 4); err != nil {
+			if err := ndflow.Run(g, 4); err != nil {
 				b.Error(err) // Fatal must not be called off the benchmark goroutine
 				return
 			}
