@@ -3,7 +3,10 @@ package ndflow_test
 import (
 	"context"
 	"errors"
+	"os"
+	osexec "os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,10 +49,27 @@ func TestRunPanicTypedAllWorkerCounts(t *testing.T) {
 	}
 }
 
+// runLeakChildEnv marks the fresh process TestRunDoesNotLeakGoroutines
+// re-executes itself in.
+const runLeakChildEnv = "NDFLOW_RUN_LEAK_CHILD"
+
 // TestRunDoesNotLeakGoroutines: an explicit worker count above one runs
 // a throwaway engine, and Run must close it on both the clean and the
-// failing path, so the goroutine count returns to its baseline.
+// failing path, so the goroutine count returns to its baseline. Nor may
+// an explicit count start the process-lifetime default engine. Whether
+// an earlier test already started that engine depends on test order, so
+// the check runs in a fresh copy of the test binary where it is known
+// not to be running.
 func TestRunDoesNotLeakGoroutines(t *testing.T) {
+	if os.Getenv(runLeakChildEnv) == "" {
+		cmd := osexec.Command(os.Args[0], "-test.run=^TestRunDoesNotLeakGoroutines$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), runLeakChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestRunDoesNotLeakGoroutines") {
+			t.Fatalf("fresh-process run failed (%v):\n%s", err, out)
+		}
+		return
+	}
 	wide := func() *ndflow.Graph {
 		leaves := make([]*ndflow.Node, 64)
 		for i := range leaves {

@@ -349,10 +349,12 @@ func Run(g *Graph, workers int) error {
 	if workers == 1 || workers <= 0 && runtime.GOMAXPROCS(0) == 1 {
 		return exec.RunTopoStrands(g)
 	}
-	e := DefaultEngine()
+	var e *Engine
 	if workers > 0 {
 		e = exec.NewEngine(workers)
 		defer e.Close()
+	} else {
+		e = DefaultEngine()
 	}
 	r, err := e.SubmitInstance(exec.NewInstance(g.Exec()))
 	if err != nil {
